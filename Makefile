@@ -5,8 +5,8 @@ GO ?= go
 # ci is the gate: static checks, full build, full tests, then a short
 # race pass over the packages with real concurrency (the live TCP node
 # and the parallel replica runner), then the full-package race smoke
-# over the engine/sim/gnet suites (catches data races in the sharded
-# proposal phase that the scoped -run regex would skip), then the chaos
+# over the engine/sim/gnet suites (catches data races in whole-tick
+# runs that the scoped -run regex would skip), then the chaos
 # pass (fault injection, reconnect supervision, transient-dial
 # recovery), then the metrics smoke (a live ddnode answering /metrics
 # and /healthz), then a one-iteration pass over the pinned benchmark
@@ -67,9 +67,9 @@ race:
 	$(GO) test -race -run 'Telemetry|Monitor|Evaluation|Duplicate|MergeResults|Averaged|Parallel|Histogram|Journal' ./internal/gnet/ ./internal/sim/ ./internal/telemetry/ ./internal/journal/
 
 # racesmoke runs the flood/sim/gnet/overload suites in full under the
-# race detector: the sharded proposal phase (flood.Engine.PrewarmTrees
-# and the sim byte-identity matrix at 2/4/8 shards) only races when
-# whole ticks run, which the scoped `race` regex above does not cover;
+# race detector: the flood engine and the sim byte-identity matrices
+# only run whole ticks there, which the scoped `race` regex above does
+# not cover;
 # the gnet suite includes the overload chaos cases (quarantine under
 # flood, degraded mode, dual-queue send pumps); metricsrv's concurrent
 # scrape-vs-churn test covers the exposition plane's snapshot paths.
@@ -97,9 +97,7 @@ writefail:
 # bench regenerates the committed perf trajectory (BENCH.json) from the
 # pinned suite in cmd/ddbench and enforces the derived gates: the
 # traversal-cache speedup (cached vs uncached 2k-peer tick loop must
-# stay >= 1.5x), the sharded-tick speedup (serial vs 4-shard 10k
-# churn+attack loop, floor derated to GOMAXPROCS — see cmd/ddbench),
-# the nt_flood_delivery robustness floor (control delivery >= 0.95
+# stay >= 1.5x), the nt_flood_delivery robustness floor (control delivery >= 0.95
 # under a 3x flood with the overload plane on), the trace_overhead
 # ceiling (tick loop with a sample-rate-0 tracer <= 1.03x untraced),
 # and the tick_100k_allocs_per_peer ceiling (steady 100k-peer loop must

@@ -9,15 +9,12 @@
 //	go run ./cmd/ddbench -gate        # full suite, fail if a derived speedup misses its floor
 //	go run ./cmd/ddbench -quick       # 1-iteration smoke, no gate, no snapshot
 //
-// Five derived gates: tick_2k_speedup (cached vs uncached tick loop,
-// floor -gatemin), tick_10k_parallel_speedup (serial vs 4-shard
-// two-phase tick under churn + attack, floor derated to the machine's
-// GOMAXPROCS — sharding cannot buy wall-clock time without cores),
-// nt_flood_delivery (DD-POLICE control delivery under a 3x
-// offered-over-capacity flood with the overload plane on, floor 0.95 —
-// a robustness gate, not a timing one), and trace_overhead (the tick
-// loop with a sample-rate-0 tracer attached vs untraced, ceiling 1.03 —
-// the disabled tracing plane must cost under 3%), and
+// Four derived gates: tick_2k_speedup (cached vs uncached tick loop,
+// floor -gatemin), nt_flood_delivery (DD-POLICE control delivery under
+// a 3x offered-over-capacity flood with the overload plane on, floor
+// 0.95 — a robustness gate, not a timing one), trace_overhead (the
+// tick loop with a sample-rate-0 tracer attached vs untraced, ceiling
+// 1.03 — the disabled tracing plane must cost under 3%), and
 // tick_100k_allocs_per_peer (mean heap allocations per peer per tick in
 // the steady 100k-peer loop, ceiling 0.10 — the dense-index scale gate:
 // per-tick work and allocation must stay O(active peers), not O(N)).
@@ -235,60 +232,6 @@ func benchSimTick(name string, peers, durationSec int, disableCache, traced bool
 		[]tickVariant{{name, disableCache, traced}})[0]
 }
 
-// benchParallelTick times the churn-plus-attack tick loop — the
-// workload where connectivity changes nearly every tick, so the
-// traversal cache rebuilds constantly and the sharded proposal phase
-// carries the build cost. shards <= 1 is the serial baseline; results
-// are byte-identical either way, so the ratio is pure engine speed.
-func benchParallelTick(name string, peers, agents, durationSec, shards int) Benchmark {
-	cfg := sim.DefaultConfig()
-	cfg.NumPeers = peers
-	cfg.NumAgents = agents
-	cfg.DurationSec = durationSec
-	cfg.AttackStartSec = 30
-	cfg.ChurnEnabled = true
-	cfg.Shards = shards
-	runs := 3
-	if *quick {
-		runs = 1
-	}
-	var best Benchmark
-	for r := 0; r < runs; r++ {
-		b := measure(fmt.Sprintf("%s(run%d)", name, r+1), 0, 1, func(int) {
-			if _, err := sim.Run(cfg); err != nil {
-				fatal(err)
-			}
-		})
-		if r == 0 || b.NsPerOp < best.NsPerOp {
-			best = b
-		}
-	}
-	best.Name = name
-	best.NsPerOp /= float64(durationSec)
-	best.Metrics["ticks_per_sec"] = 1e9 / best.NsPerOp
-	best.Metrics["peers_per_sec"] = float64(peers) * 1e9 / best.NsPerOp
-	fmt.Printf("%-28s %31.0f ns/tick %14.0f peers/sec\n", name, best.NsPerOp, best.Metrics["peers_per_sec"])
-	return best
-}
-
-// parallelGateMin derates the sharded-tick gate to the machine running
-// it: the proposal phase can only buy wall-clock time when the
-// scheduler has cores to spread shards over. On a single-core runner
-// the floor is 0.9 — sharding must at least not cost more than 10%.
-func parallelGateMin() float64 {
-	switch p := runtime.GOMAXPROCS(0); {
-	case p >= 4:
-		return 2.0
-	case p >= 2:
-		return 1.2
-	default:
-		// Single core: build-then-replay does strictly more work than
-		// one live traversal, so ~10-15% overhead is the expected cost,
-		// not a regression.
-		return 0.85
-	}
-}
-
 // benchPoliceEvaluate times the per-minute DD-POLICE sweep (Tick +
 // EvaluateMinute) over a quiet 2k-peer overlay: the steady-state cost
 // every simulated minute pays whether or not an attack is running.
@@ -456,24 +399,6 @@ func main() {
 	doc.Benchmarks = append(doc.Benchmarks, cached, uncached, traced,
 		benchSimTick("sim_tick_10k_cached", 10000, tick10kDur, false, false),
 		tick100k,
-	)
-
-	// Sharded two-phase tick rows: churn + attack, so the traversal
-	// cache rebuilds nearly every tick and the proposal phase carries
-	// the build cost.
-	ptickDur, ptick10kDur, ptick50kDur := 120, 90, 60
-	if *quick {
-		ptickDur, ptick10kDur, ptick50kDur = 60, 60, 60
-	}
-	pser := benchParallelTick("sim_ptick_10k_serial", 10000, 25, ptick10kDur, 0)
-	psh4 := benchParallelTick("sim_ptick_10k_shard4", 10000, 25, ptick10kDur, 4)
-	doc.Benchmarks = append(doc.Benchmarks,
-		benchParallelTick("sim_ptick_2k_serial", benchPeers, 10, ptickDur, 0),
-		benchParallelTick("sim_ptick_2k_shard4", benchPeers, 10, ptickDur, 4),
-		pser, psh4,
-		benchParallelTick("sim_ptick_10k_shard8", 10000, 25, ptick10kDur, 8),
-		benchParallelTick("sim_ptick_50k_serial", 50000, 50, ptick50kDur, 0),
-		benchParallelTick("sim_ptick_50k_shard8", 50000, 50, ptick50kDur, 8),
 		benchPoliceEvaluate(),
 		benchGnetNTRound(),
 	)
@@ -485,21 +410,14 @@ func main() {
 	doc.Benchmarks = append(doc.Benchmarks, ntRow)
 
 	speedup := uncached.NsPerOp / cached.NsPerOp
-	pspeedup := pser.NsPerOp / psh4.NsPerOp
-	pmin := parallelGateMin()
 	traceOverhead := traced.NsPerOp / cached.NsPerOp
 	doc.Derived["tick_2k_speedup"] = speedup
-	doc.Derived["tick_10k_parallel_speedup"] = pspeedup
-	doc.Derived["tick_10k_parallel_gate_min"] = pmin
-	doc.Derived["gomaxprocs"] = float64(runtime.GOMAXPROCS(0))
 	doc.Derived["nt_flood_delivery"] = ntDelivery
 	doc.Derived["trace_overhead"] = traceOverhead
 	doc.Derived["tick_100k_allocs_per_peer"] = allocsPerPeerTick
 	fmt.Printf("derived: tick_100k_allocs_per_peer = %.4f (gate ceiling %.2f)\n",
 		allocsPerPeerTick, allocsPerPeerTickMax)
 	fmt.Printf("derived: tick_2k_speedup = %.2fx\n", speedup)
-	fmt.Printf("derived: tick_10k_parallel_speedup = %.2fx (gate floor %.2fx at GOMAXPROCS=%d)\n",
-		pspeedup, pmin, runtime.GOMAXPROCS(0))
 	fmt.Printf("derived: nt_flood_delivery = %.3f (gate floor %.2f)\n", ntDelivery, ntFloodDeliveryMin)
 	fmt.Printf("derived: trace_overhead = %.3fx (gate ceiling %.2fx)\n", traceOverhead, traceOverheadMax)
 
@@ -532,10 +450,6 @@ func main() {
 	if *gate && !*quick {
 		if speedup < *gateMin {
 			fatal(fmt.Errorf("perf gate: tick_2k_speedup %.2fx < %.2fx", speedup, *gateMin))
-		}
-		if pspeedup < pmin {
-			fatal(fmt.Errorf("perf gate: tick_10k_parallel_speedup %.2fx < %.2fx (GOMAXPROCS=%d)",
-				pspeedup, pmin, runtime.GOMAXPROCS(0)))
 		}
 		if ntDelivery < ntFloodDeliveryMin {
 			fatal(fmt.Errorf("robustness gate: nt_flood_delivery %.3f < %.2f",

@@ -46,7 +46,6 @@ func main() {
 		duration = flag.Duration("duration", 30*time.Minute, "simulated duration")
 		start    = flag.Duration("attack-start", 5*time.Minute, "attack start time")
 		churn    = flag.Bool("churn", true, "enable peer churn")
-		shards   = flag.Int("shards", 0, "worker shards for the tick proposal phase (0 or 1 = serial; results are byte-identical either way)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		perMin   = flag.Bool("minutes", false, "print the per-minute table")
 		events   = flag.String("events", "", "write a JSON-lines event log to this file")
@@ -67,7 +66,6 @@ func main() {
 	cfg.DurationSec = int(duration.Seconds())
 	cfg.AttackStartSec = int(start.Seconds())
 	cfg.ChurnEnabled = *churn
-	cfg.Shards = *shards
 	cfg.Seed = *seed
 	var eventsFile *outfile.File
 	if *events != "" {

@@ -213,35 +213,6 @@ func (f *Fleet) emit(eng *flood.Engine, ov *overlay.Overlay, budget *flood.Budge
 	}
 }
 
-// FloodKeys appends the (source, entry, TTL) traversal keys the fleet's
-// next Tick/TickSliced call will flood — one unrestricted key per agent
-// in broadcast mode, one entry-restricted key per active neighbor in
-// spray mode — mirroring emit's own skip conditions (offline agent, no
-// active neighbors, zero weight). The sim's proposal phase feeds these
-// to flood.Engine.PrewarmTrees so the commit-phase batches replay
-// cached trees instead of re-traversing.
-func (f *Fleet) FloodKeys(ov *overlay.Overlay, buf []flood.TreeKey) []flood.TreeKey {
-	var nbuf []PeerID
-	for _, a := range f.agents {
-		if !ov.Online(a.ID) || a.EffectivePerMin <= 0 {
-			continue
-		}
-		nbuf = ov.ActiveNeighbors(a.ID, nbuf[:0])
-		if len(nbuf) == 0 {
-			continue
-		}
-		switch a.cfg.Mode {
-		case ModeBroadcast:
-			buf = append(buf, flood.TreeKey{Src: a.ID, Entry: -1, TTL: int32(a.cfg.TTL)})
-		case ModeSpray:
-			for _, v := range nbuf {
-				buf = append(buf, flood.TreeKey{Src: a.ID, Entry: v, TTL: int32(a.cfg.TTL)})
-			}
-		}
-	}
-	return buf
-}
-
 func accumulate(total *flood.BatchResult, r flood.BatchResult) {
 	total.QueryMessages += r.QueryMessages
 	total.DupMessages += r.DupMessages

@@ -90,8 +90,7 @@ type travTree struct {
 type CacheStats struct {
 	Hits      uint64 // floods served by tree replay
 	Misses    uint64 // floods with no usable tree (includes builds)
-	Builds    uint64 // trees constructed (organic + prewarmed)
-	Prewarmed uint64 // trees built by the sharded proposal phase (subset of Builds)
+	Builds    uint64 // trees recorded from structural live floods
 	Fallbacks uint64 // replays abandoned by the physical-mode precheck
 	Flushes   uint64 // whole-cache invalidations (version change or size cap)
 	Trees     int    // trees currently cached
@@ -130,14 +129,6 @@ func newTravCache() *travCache {
 // derived view if connectivity changed. Called once per flood.
 func (c *travCache) sync(ov *overlay.Overlay) {
 	c.floodsStable++
-	c.ensure(ov)
-}
-
-// ensure revalidates without advancing the flood counter: the sharded
-// proposal phase (Engine.PrewarmTrees) calls it once per tick, and
-// counting those calls as floods would make the build-policy heuristics
-// diverge between serial and sharded runs of the same seed.
-func (c *travCache) ensure(ov *overlay.Overlay) {
 	if c.synced && c.version == ov.Version() {
 		return
 	}

@@ -197,9 +197,12 @@ func TestCacheEagerBuildAfterStability(t *testing.T) {
 	}
 }
 
-// TestCacheSkipsSaturatedTree checks the physical-mode fallback path:
-// a tree whose precheck keeps failing stops attempting replay until the
-// next flush, and the engine keeps producing correct (live) results.
+// TestCacheSkipsSaturatedTree checks the physical-mode clipping rules.
+// A clipped flood on its build sighting stores no tree (its traversal
+// was not structural); the key records its tree once it floods
+// unclipped. A stored tree whose precheck then keeps failing stops
+// attempting replay until the next flush, and the engine keeps
+// producing correct (live) results throughout.
 func TestCacheSkipsSaturatedTree(t *testing.T) {
 	ovA := lineGraph(t, 8)
 	ovB := lineGraph(t, 8)
@@ -207,8 +210,8 @@ func TestCacheSkipsSaturatedTree(t *testing.T) {
 	engB.SetTraversalCache(false)
 	dm := DefaultDelayModel()
 	// Tokens for the first hops only: peers 4+ never have budget, so the
-	// cached structural tree always fails the precheck.
-	mkBudget := func() *Budget {
+	// flood clips and a cached structural tree always fails the precheck.
+	saturated := func() *Budget {
 		b := NewBudget(8, 0)
 		for i := 0; i < 4; i++ {
 			b.PerTick[i] = 5
@@ -216,13 +219,32 @@ func TestCacheSkipsSaturatedTree(t *testing.T) {
 		}
 		return b
 	}
-	for step := 0; step < 10; step++ {
-		ba, bb := mkBudget(), mkBudget()
-		ra := engA.FloodQuery(0, 7, []topology.NodeID{6}, ba, dm)
-		rb := engB.FloodQuery(0, 7, []topology.NodeID{6}, bb, dm)
+	run := func(step int, mk func() *Budget) {
+		t.Helper()
+		ra := engA.FloodQuery(0, 7, []topology.NodeID{6}, mk(), dm)
+		rb := engB.FloodQuery(0, 7, []topology.NodeID{6}, mk(), dm)
 		if ra != rb {
-			t.Fatalf("step %d: diverged under saturation:\ncached:   %+v\nuncached: %+v", step, ra, rb)
+			t.Fatalf("step %d: diverged:\ncached:   %+v\nuncached: %+v", step, ra, rb)
 		}
+	}
+
+	// First sighting marks the key; the second is its build sighting,
+	// but the flood clips, so nothing is stored.
+	run(0, saturated)
+	run(1, saturated)
+	if st := engA.CacheStats(); st.Builds != 0 || st.Trees != 0 {
+		t.Fatalf("clipped flood stored a tree: %+v", st)
+	}
+
+	// An unclipped sighting records the tree.
+	run(2, func() *Budget { return bigBudget(8) })
+	if st := engA.CacheStats(); st.Builds != 1 {
+		t.Fatalf("unclipped flood did not record its tree: %+v", st)
+	}
+
+	// Saturated again: replay prechecks fail until the skip flag arms.
+	for step := 3; step < 13; step++ {
+		run(step, saturated)
 	}
 	st := engA.CacheStats()
 	if st.Fallbacks == 0 {
@@ -230,6 +252,9 @@ func TestCacheSkipsSaturatedTree(t *testing.T) {
 	}
 	if st.Fallbacks > uint64(cacheSkipAfterFails) {
 		t.Fatalf("skip flag did not arm after %d failures: %+v", cacheSkipAfterFails, st)
+	}
+	if st.Builds != 1 {
+		t.Fatalf("skipped tree was rebuilt: %+v", st)
 	}
 }
 

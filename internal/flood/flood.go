@@ -534,10 +534,6 @@ type Engine struct {
 	accBuf []float64
 	rec    travTree
 
-	// prewarmState is the sharded proposal phase's scratch and
-	// counters (see shard.go).
-	prewarmState
-
 	// tv, when non-nil, receives every first-visit event of discrete
 	// query floods (see SetTraceVisitor). One pointer check per visit
 	// when disarmed; the cached replay and the live BFS emit identical
@@ -625,8 +621,6 @@ func (e *Engine) AttachTelemetry(reg *telemetry.Registry) {
 	e.telDrops = reg.Counter("flood.budget_drops")
 	e.telHitHops = reg.Histogram("flood.hit_hops")
 	e.telDelay = reg.Histogram("flood.response_delay_ms")
-	e.telPrewarm = reg.Counter("flood.prewarm_trees")
-	e.telPrewarmVisits = reg.Counter("flood.prewarm_visits")
 }
 
 // SetCounterMode switches the counter accounting plane.
@@ -668,23 +662,6 @@ func (e *Engine) resetRec() *travTree {
 	e.rec.visits = e.rec.visits[:0]
 	e.rec.edgeEvents, e.rec.dupEvents = 0, 0
 	return &e.rec
-}
-
-// buildTree runs the purely structural TTL-bounded BFS (parent skip +
-// duplicate suppression, no budgets) and records the first-visit tree
-// in frontier order. Used when a flood that should seed the cache was
-// capacity-clipped, so its own traversal was not structural: the tree
-// is built separately and kept for later replay attempts (each
-// prechecked against the then-current budget). The BFS itself lives on
-// treeBuilder (shard.go) so the sharded proposal phase runs the exact
-// same construction; this serial entry point uses a dedicated builder,
-// leaving the live flood's epoch/seen marks untouched.
-func (e *Engine) buildTree(src, entry PeerID, ttl int) *travTree {
-	if e.serialTB == nil {
-		e.serialTB = newTreeBuilder(e.ov.NumPeers())
-	}
-	e.serialTB.cache = e.cache
-	return e.serialTB.build(src, entry, ttl)
 }
 
 // replayQuery re-runs one discrete flood over the cached tree. In the
@@ -769,15 +746,13 @@ func (e *Engine) FloodQuery(src PeerID, ttl int, holders []topology.NodeID, budg
 		if tr == nil && build {
 			rec := e.resetRec()
 			e.liveQuery(src, ttl, budget, dm, &res, rec)
-			e.scoreHolders(src, holders, dm, &res) // before buildTree clobbers the marks
+			e.scoreHolders(src, holders, dm, &res)
+			// Only a structural flood's recording is the tree: a
+			// capacity-dropped peer stopped forwarding, so a clipped
+			// flood stores nothing and the key's next sighting records
+			// again.
 			if e.mode == CounterIdeal || res.CapacityDrops == 0 {
-				// The flood was structural: the recording is the tree.
 				e.cache.store(k, rec.clone())
-			} else {
-				// A capacity-dropped peer stopped forwarding, so the
-				// traversal was not structural; build the tree
-				// separately and keep it for later replay attempts.
-				e.cache.store(k, e.buildTree(src, noEntry, ttl))
 			}
 			return res
 		}
@@ -943,8 +918,6 @@ func (e *Engine) FloodBatch(src PeerID, entry PeerID, ttl int, weight float64, b
 			zeroClip := e.liveBatch(src, entry, ttl, weight, budget, &res, rec)
 			if e.mode == CounterIdeal || !zeroClip {
 				e.cache.store(k, rec.clone())
-			} else {
-				e.cache.store(k, e.buildTree(src, entry, ttl))
 			}
 			return res
 		}

@@ -3,9 +3,8 @@
 // seed through rng.SubSeed (order-independent) or Source.Split; the
 // global math/rand generator is seeded from runtime entropy and shared
 // across goroutines, and even a locally constructed rand.New(...)
-// bypasses the substream-derivation discipline the sharded tick engine
-// depends on. internal/rng is the single owner of raw generator
-// mechanics.
+// bypasses that substream-derivation discipline. internal/rng is the
+// single owner of raw generator mechanics.
 package ddrand
 
 import (

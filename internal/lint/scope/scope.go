@@ -8,7 +8,7 @@ import "strings"
 
 // Deterministic lists the packages whose committed output (events,
 // journals, traces, results) must be byte-identical across replays,
-// shard counts, and plane on/off. Everything here runs on simulated
+// traversal cache on/off, and plane on/off. Everything here runs on simulated
 // time and seeded randomness; wall clocks and unseeded rand are build
 // errors. The live edges (gnet, telemetry, metricsrv) are deliberately
 // absent — they stamp wall-clock time by design.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -33,9 +32,9 @@ func runInstrumented(t *testing.T, cfg Config) (res *Result, events, jrnl []byte
 
 // stripCache returns a copy of res with the cache-effectiveness
 // counters zeroed. Result.Cache is the one field the determinism
-// contract (DESIGN.md §13) exempts: hit/build/prewarm tallies
-// legitimately differ between cached and uncached runs and between
-// serial and sharded runs, while every other byte must match.
+// contract (DESIGN.md §12) exempts: hit/build/fallback tallies
+// legitimately differ between cached and uncached runs, while every
+// other byte must match.
 func stripCache(res *Result) *Result {
 	c := *res
 	c.Cache = flood.CacheStats{}
@@ -81,7 +80,7 @@ func equalityConfig() Config {
 
 // equalityScenarios enumerates every overlay-mutation regime the
 // determinism contract must hold under; the cached-vs-uncached tests
-// and the serial-vs-sharded suite share this list.
+// share this list.
 func equalityScenarios() []struct {
 	name string
 	cfg  func() Config
@@ -134,45 +133,6 @@ func TestCachedRunByteIdentical(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			assertIdenticalRuns(t, sc.name, sc.cfg())
 		})
-	}
-}
-
-// TestShardedRunByteIdentical is the tentpole acceptance suite: for
-// every mutation scenario, the sharded two-phase tick (parallel tree
-// proposal + serial commit) at 2, 4, and 8 shards must be
-// byte-identical to the serial engine — same Result (modulo Cache),
-// same event stream, same detection journal.
-func TestShardedRunByteIdentical(t *testing.T) {
-	for _, sc := range equalityScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			serial, evS, jrS := runInstrumented(t, sc.cfg())
-			for _, shards := range []int{2, 4, 8} {
-				cfg := sc.cfg()
-				cfg.Shards = shards
-				sharded, evP, jrP := runInstrumented(t, cfg)
-				label := fmt.Sprintf("shards=%d", shards)
-				assertSameRun(t, sc.name+"/"+label, "serial", label,
-					serial, sharded, evS, evP, jrS, jrP)
-			}
-		})
-	}
-}
-
-// TestShardedRunEngagesPrewarm guards the sharded suite against
-// passing vacuously: a sharded steady run must actually route tree
-// builds through the proposal phase.
-func TestShardedRunEngagesPrewarm(t *testing.T) {
-	cfg := equalityConfig()
-	cfg.Shards = 4
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache.Prewarmed == 0 {
-		t.Fatalf("proposal phase never built a tree: %+v", res.Cache)
-	}
-	if res.Cache.Hits == 0 {
-		t.Fatalf("prewarmed trees never replayed: %+v", res.Cache)
 	}
 }
 

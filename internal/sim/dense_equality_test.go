@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"ddpolice/internal/faults"
 	"ddpolice/internal/journal"
@@ -114,36 +113,10 @@ func TestDenseMapByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedRunReleasesGoroutines is the pooled-buffer goroutine
-// regression: the sharded proposal phase spawns worker goroutines every
-// tick and the parallel replica runner spawns one per seed; both must
-// be fully joined by the time Run returns. A leak here compounds per
-// tick, so even a small overlay exposes it.
-func TestShardedRunReleasesGoroutines(t *testing.T) {
-	cfg := denseMatrixConfig(1000)
-	cfg.DurationSec = 120
-	cfg.Shards = 4
-	baseline := runtime.NumGoroutine()
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	// Goroutine teardown is asynchronous after wg.Wait returns; poll
-	// briefly before declaring a leak.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before run, %d after", baseline, n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestTickMarginalAllocsBounded is the in-test mirror of ddbench's
 // tick_100k_allocs_per_peer gate, cheap enough for racesmoke: with the
 // pooled per-tick buffers (epoch-marked slices, budget touch lists,
-// query-trace pool, treeBuilder capacity hints) the steady tick loop
+// query-trace pool, the engine's reused recording tree) the steady tick loop
 // allocates O(workload), not O(peers). Differencing a 240s run against
 // a 120s run cancels setup cost, leaving the per-tick marginal
 // allocation rate, which must stay under the same 0.10-per-peer

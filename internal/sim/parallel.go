@@ -117,7 +117,6 @@ func mergeResults(rs []*Result) *Result {
 		out.Cache.Hits += r.Cache.Hits
 		out.Cache.Misses += r.Cache.Misses
 		out.Cache.Builds += r.Cache.Builds
-		out.Cache.Prewarmed += r.Cache.Prewarmed
 		out.Cache.Fallbacks += r.Cache.Fallbacks
 		out.Cache.Flushes += r.Cache.Flushes
 		out.Cache.Trees += r.Cache.Trees
@@ -155,7 +154,6 @@ func mergeResults(rs []*Result) *Result {
 	out.Cache.Hits = roundDivU64(out.Cache.Hits, n)
 	out.Cache.Misses = roundDivU64(out.Cache.Misses, n)
 	out.Cache.Builds = roundDivU64(out.Cache.Builds, n)
-	out.Cache.Prewarmed = roundDivU64(out.Cache.Prewarmed, n)
 	out.Cache.Fallbacks = roundDivU64(out.Cache.Fallbacks, n)
 	out.Cache.Flushes = roundDivU64(out.Cache.Flushes, n)
 	out.Cache.Trees = roundDiv(out.Cache.Trees, n)

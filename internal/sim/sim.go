@@ -102,20 +102,6 @@ type Config struct {
 	// for the ddbench uncached baseline.
 	DisableFloodCache bool
 
-	// Shards > 1 enables the deterministic sharded tick engine: each
-	// tick first runs a parallel *proposal* phase in which that many
-	// worker shards build the structural traversal trees of every flood
-	// the tick has declared (good-peer queries and attacker batches)
-	// against the immutable connectivity snapshot, then a serial
-	// *commit* phase floods them in the ordinary order, replaying the
-	// prewarmed trees. Results are byte-identical to the serial engine
-	// for every value except Result.Cache's effectiveness counters
-	// (asserted across scenarios by the parallel-vs-serial suite in
-	// cache_equality_test.go). 0 or 1 keeps the serial tick; the engine
-	// also falls back to serial when DisableFloodCache is set, since
-	// proposals ride the traversal cache. See DESIGN.md §13.
-	Shards int
-
 	// FairShareDrop enables the related-work baseline defense ([21],
 	// Daswani & Garcia-Molina): peers split their processing capacity
 	// evenly across incoming connections instead of serving
@@ -157,9 +143,9 @@ type Config struct {
 	// per-run overload-annotation trace (shed / degraded / brownout
 	// markers). Trace IDs derive from Seed via pure sub-seed hashing,
 	// so identical-seed runs emit byte-identical span streams, cached
-	// or uncached, at any shard count. Tracing is passive: a non-nil
-	// tracer leaves Results, Events and the journal byte-identical to
-	// a nil one. Nil costs a pointer check per site.
+	// or uncached. Tracing is passive: a non-nil tracer leaves
+	// Results, Events and the journal byte-identical to a nil one. Nil
+	// costs a pointer check per site.
 	Trace *trace.Tracer
 }
 
@@ -242,9 +228,6 @@ func (c Config) Validate() error {
 	if c.AttackStartSec < 0 {
 		return fmt.Errorf("sim: AttackStartSec = %d", c.AttackStartSec)
 	}
-	if c.Shards < 0 || c.Shards > 256 {
-		return fmt.Errorf("sim: Shards = %d (want 0..256)", c.Shards)
-	}
 	if c.PoliceEnabled {
 		if err := c.Police.Validate(); err != nil {
 			return err
@@ -317,9 +300,9 @@ type Result struct {
 
 	// Cache reports the flood engine's traversal-cache effectiveness
 	// counters (always populated; zero when DisableFloodCache). The
-	// counters depend on execution strategy — cached vs uncached,
-	// sharded vs serial — while every other Result field does not, so
-	// the byte-identity suites zero this field before comparing runs.
+	// counters depend on execution strategy — cached vs uncached —
+	// while every other Result field does not, so the byte-identity
+	// suites zero this field before comparing runs.
 	Cache flood.CacheStats
 }
 
@@ -331,12 +314,11 @@ const (
 	StageFlood           // good-peer query flood propagation
 	StagePolice          // DD-POLICE Tick and minute evaluation
 	StageMetrics         // minute close: collection, events, loss derivation
-	StageProposal        // sharded mode: parallel traversal-tree prewarm
 	numStages
 )
 
 // StageNames labels the tick stages, indexed by the Stage constants.
-var StageNames = []string{"churn", "attack", "querygen", "flood", "police", "metrics", "proposal"}
+var StageNames = []string{"churn", "attack", "querygen", "flood", "police", "metrics"}
 
 // Run executes one simulation and returns its result.
 func Run(cfg Config) (*Result, error) {
@@ -481,7 +463,6 @@ func Run(cfg Config) (*Result, error) {
 		onlineVer  uint64
 		onlineInit bool
 		queryBuf   []workload.Query
-		keyBuf     []flood.TreeKey
 		tracePool  *queryTracePool
 		overheadAt uint64
 		res        Result
@@ -594,15 +575,12 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		// 2. Good-peer query *generation*, hoisted ahead of the attack
-		// slices: the tick's full flood workload must be known before
-		// the proposal phase can prewarm its traversal trees. Issue
-		// order is untouched — generation only draws from qgen's private
-		// stream and the connectivity-keyed online list, neither of
-		// which the attack slices read or write — so hoisting it is
-		// byte-invisible to the serial engine. The floods themselves
-		// still run mid-tick (step 3) so good queries compete with
-		// attack traffic on fair terms.
+		// 2. Good-peer query *generation*, ahead of the attack slices.
+		// Generation only draws from qgen's private stream and the
+		// connectivity-keyed online list, neither of which the attack
+		// slices read or write, so running it first is byte-invisible.
+		// The floods themselves still run mid-tick (step 3) so good
+		// queries compete with attack traffic on fair terms.
 		attacking := t >= cfg.AttackStartSec && fleet.Size() > 0
 		slices := cfg.AttackSlices
 		if slices < 2 {
@@ -620,26 +598,7 @@ func Run(cfg Config) (*Result, error) {
 		queryBuf = qgen.Tick(onlineBuf, 1, queryBuf[:0])
 		stages.Stop(StageQueryGen, t0)
 
-		// 2b. Proposal phase (sharded mode): every traversal this tick
-		// will flood — the attacker batches and the good-peer queries
-		// just generated — is declared to the engine, which builds the
-		// missing trees on parallel worker shards and stores them in
-		// canonical key order. The commit phase below then replays them
-		// through the ordinary serial flood calls.
-		if cfg.Shards > 1 && eng.TraversalCacheEnabled() {
-			t0 = stages.Start()
-			keyBuf = keyBuf[:0]
-			if attacking {
-				keyBuf = fleet.FloodKeys(ov, keyBuf)
-			}
-			for _, q := range queryBuf {
-				keyBuf = append(keyBuf, flood.TreeKey{Src: q.Issuer, Entry: -1, TTL: int32(cfg.TTL)})
-			}
-			eng.PrewarmTrees(keyBuf, cfg.Shards)
-			stages.Stop(StageProposal, t0)
-		}
-
-		// 2c. First half of the tick's attack volume.
+		// 2b. First half of the tick's attack volume.
 		if attacking {
 			t0 = stages.Start()
 			br := fleet.TickSliced(eng, ov, budget, 0.5, slices/2, 2*t)
@@ -821,7 +780,6 @@ func Run(cfg Config) (*Result, error) {
 		reg.Gauge("flood.cache_hits").Set(int64(cs.Hits))
 		reg.Gauge("flood.cache_misses").Set(int64(cs.Misses))
 		reg.Gauge("flood.cache_builds").Set(int64(cs.Builds))
-		reg.Gauge("flood.cache_prewarmed").Set(int64(cs.Prewarmed))
 		reg.Gauge("flood.cache_fallbacks").Set(int64(cs.Fallbacks))
 		reg.Gauge("flood.cache_flushes").Set(int64(cs.Flushes))
 		snap := reg.Snapshot()
