@@ -97,9 +97,18 @@ func TestHarnessDuplicateSuppression(t *testing.T) {
 			len(h.Node(1).Neighbors()) == 2 && len(h.Node(2).Neighbors()) == 2
 	}, "triangle connected")
 	h.Node(0).SendRawQuery("x")
-	waitFor(t, 3*time.Second, func() bool {
-		return h.Node(1).Stats().DupDropped+h.Node(2).Stats().DupDropped == 2
-	}, "each far endpoint dropped one duplicate")
+	// Four copies travel (0->1, 0->2, and one relay each way between 1
+	// and 2 or back to 0), and the two first receipts are accepted, so
+	// exactly two duplicates are dropped. Where they land depends on
+	// arrival order: if 2's relay reaches 1 before 0's direct copy, 1
+	// relays back to the source, which drops it. Only the total over
+	// all three nodes is timing-independent.
+	dups := func() uint64 {
+		return h.Node(0).Stats().DupDropped + h.Node(1).Stats().DupDropped +
+			h.Node(2).Stats().DupDropped
+	}
+	waitFor(t, 3*time.Second, func() bool { return dups() == 2 },
+		"two duplicates dropped across the triangle")
 }
 
 // TestLiveDefenseUnderWorkload is the end-to-end live validation: an

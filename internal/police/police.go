@@ -231,20 +231,25 @@ type Police struct {
 	cutBuf    []verdict // EvaluateMinute's deferred cut decisions
 	evalBuf   []PeerID  // EvaluateMinute's per-observer suspect scan
 	obsBuf    []PeerID  // EvaluateMinute's online-observer sweep list
-	exBuf     []PeerID  // exchangeFrom's neighbor fan-out
+	exBuf     []PeerID  // exchangeFrom's neighbor fan-out (map state)
 	sendBuf   []PeerID  // sendList's advertised members (liars append)
-	joinBuf   []PeerID  // NotifyJoin's neighbor push list
+	joinBuf   []PeerID  // NotifyJoin's event-driven neighbor list
 
 	// Dense directed-edge-indexed state (Radius 1, LegacyMapState off).
 	// A stored list or rate-limit stamp always concerns a direct
 	// neighbor there, so the (receiver, owner) pair addresses the
 	// directed edge receiver->owner and the map lookups become array
-	// loads; the per-edge member slices are pooled across exchanges
-	// (storeList in map mode allocates a fresh copy per push).
-	dense   bool
-	listAt  []float64  // receipt time of the list on edge recv->owner; listNone = none
-	listMem [][]PeerID // advertised members on that edge (reused backing arrays)
-	lastNT  []float64  // last NT round on edge observer->suspect; ntNever = never
+	// loads. A received list is not copied onto the edge: the edge
+	// holds the id of an immutable, reference-counted snapshot that
+	// every receiver of the same exchange shares (see snapshot).
+	dense    bool
+	listAt   []float64 // receipt time of the list on edge recv->owner
+	listSnap []int32   // snapshot held on that edge; snapNone = no list
+	lastNT   []float64 // last NT round on edge observer->suspect; ntNever = never
+	snaps    []snapshot
+	snapFree []int32  // ids of released snapshots, reused before growing snaps
+	ownSnap  []int32  // owner -> snapshot of its current active list
+	ownVer   []uint64 // owner -> overlay Version ownSnap was checked at
 
 	// Calendar queue for the periodic exchange schedule: exqBucket[t%B]
 	// holds the peers whose next exchange is due at integer tick t, so
@@ -257,14 +262,24 @@ type Police struct {
 	exqReady  bool
 }
 
-// Sentinels for the dense edge-indexed state. listNone marks "no list
-// held" (any real receipt time is >= 0); ntNever marks "no NT round
-// yet" (now-ntNever dwarfs any ReportRateLimit, matching the map's
-// missing-key behaviour).
+// Sentinels for the dense edge-indexed state. snapNone marks "no list
+// held" on an edge (or no current list for an owner); ntNever marks
+// "no NT round yet" (now-ntNever dwarfs any ReportRateLimit, matching
+// the map's missing-key behaviour).
 const (
-	listNone = -1.0
+	snapNone = -1
 	ntNever  = -1e18
 )
+
+// snapshot is one advertised neighbor list, shared by every edge that
+// received it and by its owner while it is the owner's current list.
+// members never changes while refs > 0; a snapshot whose refs drop to
+// zero goes on the free list and its backing array is refilled by the
+// next newSnap.
+type snapshot struct {
+	members []PeerID
+	refs    int32
+}
 
 // verdict is one deferred disconnect decision from the minute sweep.
 type verdict struct {
@@ -296,11 +311,16 @@ func New(ov *overlay.Overlay, cfg Config) (*Police, error) {
 	if p.dense {
 		ne := ov.NumDirectedEdges()
 		p.listAt = make([]float64, ne)
-		p.listMem = make([][]PeerID, ne)
+		p.listSnap = make([]int32, ne)
 		p.lastNT = make([]float64, ne)
 		for e := 0; e < ne; e++ {
-			p.listAt[e] = listNone
+			p.listSnap[e] = snapNone
 			p.lastNT[e] = ntNever
+		}
+		p.ownSnap = make([]int32, n)
+		p.ownVer = make([]uint64, n)
+		for v := range p.ownSnap {
+			p.ownSnap[v] = snapNone
 		}
 	}
 	for i := range p.states {

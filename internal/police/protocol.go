@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"ddpolice/internal/journal"
+	"ddpolice/internal/overlay"
 	"ddpolice/internal/trace"
 )
 
@@ -120,7 +121,8 @@ func (p *Police) NotifyJoin(v PeerID, now float64) {
 		// edge per static neighbor, O(degree).
 		for k := range p.ov.Graph().Neighbors(v) {
 			e := p.ov.EdgeID(v, k)
-			p.listAt[e] = listNone
+			p.release(p.listSnap[e])
+			p.listSnap[e] = snapNone
 			p.lastNT[e] = ntNever
 		}
 	} else if p.states[v].lists == nil {
@@ -135,14 +137,23 @@ func (p *Police) NotifyJoin(v PeerID, now float64) {
 	p.exchangeFrom(v, now)
 	// The new peer also learns its neighbors' lists right away (the
 	// exchange is mutual on connect).
-	p.joinBuf = p.ov.ActiveNeighbors(v, p.joinBuf[:0])
-	for _, w := range p.joinBuf {
-		p.sendList(w, v, now)
+	if p.dense {
+		if p.ov.Online(v) {
+			for k, w := range p.ov.Graph().Neighbors(v) {
+				if e := p.ov.EdgeID(v, k); p.ov.Online(w) && !p.ov.EdgeCut(e) {
+					p.sendList(w, v, e, now)
+				}
+			}
+		}
+	} else {
+		p.joinBuf = p.ov.ActiveNeighbors(v, p.joinBuf[:0])
+		for _, w := range p.joinBuf {
+			p.sendList(w, v, 0, now)
+		}
 	}
 	if p.cfg.EventDriven {
-		// sendList above cannot shuffle joinBuf, but exchangeFrom fans
-		// out through exBuf, so reusing joinBuf for this second pass is
-		// still safe.
+		// exchangeFrom fans out through exBuf (or no buffer at all), so
+		// joinBuf is free for this pass.
 		p.joinBuf = p.ov.ActiveNeighbors(v, p.joinBuf[:0])
 		for _, w := range p.joinBuf {
 			p.exchangeFrom(w, now)
@@ -164,10 +175,26 @@ func (p *Police) NotifyLeave(v PeerID, now float64) {
 
 // exchangeFrom makes peer v push its neighbor list to all its active
 // neighbors (and, for Radius 2, relay the lists it holds one hop on).
+//
+// The dense path walks v's static neighbors by slot and checks each
+// edge as it goes instead of listing the active ones first. The two
+// agree: the only mutation a push can make is a verifyList cut of the
+// edge to the receiver just served.
 func (p *Police) exchangeFrom(v PeerID, now float64) {
+	if p.dense {
+		if !p.ov.Online(v) {
+			return
+		}
+		for k, w := range p.ov.Graph().Neighbors(v) {
+			if e := p.ov.EdgeID(v, k); p.ov.Online(w) && !p.ov.EdgeCut(e) {
+				p.sendList(v, w, p.ov.Reverse(e), now)
+			}
+		}
+		return
+	}
 	p.exBuf = p.ov.ActiveNeighbors(v, p.exBuf[:0])
 	for _, w := range p.exBuf {
-		p.sendList(v, w, now)
+		p.sendList(v, w, 0, now)
 		if p.cfg.Radius >= 2 {
 			// DD-POLICE-r, r=2: v relays the freshest lists it holds so
 			// w can build buddy groups for peers two hops away.
@@ -182,13 +209,23 @@ func (p *Police) exchangeFrom(v PeerID, now float64) {
 	}
 }
 
-// sendList delivers v's own current neighbor list to receiver w.
-func (p *Police) sendList(v, w PeerID, now float64) {
-	p.sendBuf = p.ov.ActiveNeighbors(v, p.sendBuf[:0])
-	members := p.sendBuf
+// sendList delivers v's own current neighbor list to receiver w. In
+// dense mode e is the receiver's slot, the directed edge w->v; map mode
+// ignores it.
+func (p *Police) sendList(v, w PeerID, e overlay.EdgeID, now float64) {
+	id := int32(snapNone)
+	var members []PeerID
+	if p.dense && !p.liar[v] {
+		id = p.currentSnap(v)
+		members = p.snaps[id].members
+	} else {
+		p.sendBuf = p.ov.ActiveNeighbors(v, p.sendBuf[:0])
+		members = p.sendBuf
+	}
 	if p.liar[v] {
 		// A lying peer pads its list with fabricated claims: peers it
-		// is not actually connected to.
+		// is not actually connected to. The padding depends on w, so
+		// in dense mode each receiver gets a private snapshot.
 		fakes := 0
 		for fake := PeerID(0); fake < PeerID(p.ov.NumPeers()) && fakes < 4; fake++ {
 			if fake != v && fake != w && !p.ov.Connected(v, fake) {
@@ -204,26 +241,16 @@ func (p *Police) sendList(v, w PeerID, now float64) {
 	if p.cfg.VerifyLists {
 		p.verifyList(w, v, members, now)
 	}
+	if p.dense {
+		p.storeEdge(e, id, members, now)
+		return
+	}
 	p.storeList(w, v, members, now)
 }
 
-// storeList records at receiver the advertised list of owner.
+// storeList records at receiver the advertised list of owner (map
+// state).
 func (p *Police) storeList(receiver, owner PeerID, members []PeerID, at float64) {
-	if p.dense {
-		// Radius 1: every push travels one hop, so owner is a direct
-		// neighbor and the (receiver, owner) pair addresses a directed
-		// edge. The per-edge backing array is reused across pushes.
-		e, ok := p.ov.FindEdge(receiver, owner)
-		if !ok {
-			return // not reachable at Radius 1; map mode never stores it either
-		}
-		if p.listAt[e] != listNone && p.listAt[e] > at {
-			return // keep the fresher list
-		}
-		p.listAt[e] = at
-		p.listMem[e] = append(p.listMem[e][:0], members...)
-		return
-	}
 	st := &p.states[receiver]
 	if prev, ok := st.lists[owner]; ok && prev.at > at {
 		return // keep the fresher list
@@ -231,6 +258,65 @@ func (p *Police) storeList(receiver, owner PeerID, members []PeerID, at float64)
 	cp := make([]PeerID, len(members))
 	copy(cp, members)
 	st.lists[owner] = advertised{at: at, members: cp}
+}
+
+// storeEdge records on directed edge e (receiver->owner) the list held
+// by snapshot id, or a private copy of members when id is snapNone.
+func (p *Police) storeEdge(e overlay.EdgeID, id int32, members []PeerID, at float64) {
+	old := p.listSnap[e]
+	if old != snapNone && p.listAt[e] > at {
+		return // keep the fresher list
+	}
+	if id == snapNone {
+		id = p.newSnap(members)
+	}
+	p.snaps[id].refs++ // before the release: old may equal id
+	p.release(old)
+	p.listAt[e], p.listSnap[e] = at, id
+}
+
+// currentSnap returns the snapshot of v's current active neighbor list.
+// While the overlay Version is unchanged v's list cannot have changed,
+// so the held snapshot is returned as is; otherwise the list is
+// recomputed and a new snapshot made only if it differs.
+func (p *Police) currentSnap(v PeerID) int32 {
+	id, ver := p.ownSnap[v], p.ov.Version()
+	if id != snapNone && p.ownVer[v] == ver {
+		return id
+	}
+	p.ownVer[v] = ver
+	p.sendBuf = p.ov.ActiveNeighbors(v, p.sendBuf[:0])
+	if id != snapNone && slices.Equal(p.snaps[id].members, p.sendBuf) {
+		return id
+	}
+	nid := p.newSnap(p.sendBuf)
+	p.snaps[nid].refs++
+	p.release(id)
+	p.ownSnap[v] = nid
+	return nid
+}
+
+// newSnap fills a snapshot with members, reusing a released one when
+// possible. It starts with no references.
+func (p *Police) newSnap(members []PeerID) int32 {
+	if n := len(p.snapFree); n > 0 {
+		id := p.snapFree[n-1]
+		p.snapFree = p.snapFree[:n-1]
+		p.snaps[id].members = append(p.snaps[id].members[:0], members...)
+		return id
+	}
+	p.snaps = append(p.snaps, snapshot{members: slices.Clone(members)})
+	return int32(len(p.snaps) - 1)
+}
+
+// release drops one reference to snapshot id (snapNone is a no-op).
+func (p *Police) release(id int32) {
+	if id == snapNone {
+		return
+	}
+	if p.snaps[id].refs--; p.snaps[id].refs == 0 {
+		p.snapFree = append(p.snapFree, id)
+	}
 }
 
 // verifyList performs the §3.1 consistency check at the receiver: each
@@ -261,10 +347,10 @@ func (p *Police) membersOf(observer, suspect PeerID, now float64) []PeerID {
 	var members []PeerID
 	if p.dense {
 		e, ok := p.ov.FindEdge(observer, suspect)
-		if !ok || p.listAt[e] == listNone {
+		if !ok || p.listSnap[e] == snapNone {
 			return nil
 		}
-		at, members = p.listAt[e], p.listMem[e]
+		at, members = p.listAt[e], p.snaps[p.listSnap[e]].members
 	} else {
 		adv, ok := p.states[observer].lists[suspect]
 		if !ok {

@@ -32,7 +32,10 @@ func denseMatrixConfig(peers int) Config {
 // DD-POLICE on (otherwise the two representations share all code), and
 // each adds one mutation source on top of the attack: none (detection
 // cuts are the mutation), continuous churn, a timed partition, and a
-// scheduled capacity brownout with the overload plane engaged.
+// scheduled capacity brownout with the overload plane engaged. The last
+// three cover the list-exchange variants: lying agents caught by list
+// verification (private per-receiver lists and mid-exchange cuts),
+// event-driven exchange under churn, and short list expiry under churn.
 func denseMatrixScenarios() []struct {
 	name string
 	cfg  func(peers int) Config
@@ -60,6 +63,24 @@ func denseMatrixScenarios() []struct {
 			cfg.Faults = &faults.Schedule{Overloads: []faults.OverloadEvent{
 				{StartSec: 120, EndSec: 240, Peers: []int{10, 11, 12}, Factor: 0.25},
 			}}
+			return cfg
+		}},
+		{"liars", func(peers int) Config {
+			cfg := denseMatrixConfig(peers)
+			cfg.AgentsLieAboutLists = true
+			cfg.Police.VerifyLists = true
+			return cfg
+		}},
+		{"event-driven", func(peers int) Config {
+			cfg := denseMatrixConfig(peers)
+			cfg.ChurnEnabled = true
+			cfg.Police.EventDriven = true
+			return cfg
+		}},
+		{"stale", func(peers int) Config {
+			cfg := denseMatrixConfig(peers)
+			cfg.ChurnEnabled = true
+			cfg.Police.StaleAfter = 90
 			return cfg
 		}},
 	}
@@ -106,6 +127,21 @@ func TestDenseMapByteIdentical(t *testing.T) {
 				if sc.name == "cuts" {
 					if cuts := journalEvents(t, jrD, journal.TypeCut); len(cuts) == 0 {
 						t.Fatalf("%s: no cut events journaled — matrix is vacuous", scenario)
+					}
+				}
+				// The liars scenario must reach list verification's
+				// disconnects (the only cuts with g = s = 0 here, as the
+				// blacklist is off), or the private-list path went
+				// untested.
+				if sc.name == "liars" {
+					verified := 0
+					for _, c := range journalEvents(t, jrD, journal.TypeCut) {
+						if c.G == 0 && c.S == 0 {
+							verified++
+						}
+					}
+					if verified == 0 {
+						t.Fatalf("%s: no list-verification cuts — scenario is vacuous", scenario)
 					}
 				}
 			})

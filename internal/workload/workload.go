@@ -77,6 +77,7 @@ func NewCatalog(cfg CatalogConfig, numPeers int, src *rng.Source) (*Catalog, err
 		shapeSum += shape[i]
 	}
 	budget := cfg.MeanReplicas * float64(cfg.NumObjects)
+	s := newPeerSampler(numPeers)
 	for o := 0; o < cfg.NumObjects; o++ {
 		count := int(budget * shape[o] / shapeSum)
 		if count < cfg.MinReplicas {
@@ -85,7 +86,7 @@ func NewCatalog(cfg CatalogConfig, numPeers int, src *rng.Source) (*Catalog, err
 		if count > numPeers {
 			count = numPeers
 		}
-		c.holders[o] = samplePeers(src, numPeers, count)
+		c.holders[o] = s.sample(src, count)
 	}
 	return c, nil
 }
@@ -102,25 +103,40 @@ func (c *Catalog) Popularity(o ObjectID) float64 { return c.popularity[o] }
 // SampleObject draws an object according to popularity.
 func (c *Catalog) SampleObject() ObjectID { return ObjectID(c.zipf.Rank() - 1) }
 
-// samplePeers draws count distinct peers via partial Fisher-Yates over
-// a lazily materialized index map.
-func samplePeers(src *rng.Source, n, count int) []topology.NodeID {
+// peerSampler draws distinct peers by partial Fisher-Yates over one
+// identity permutation shared by every object. Each sample puts the
+// permutation back afterwards, so the next one starts from the
+// identity again.
+type peerSampler struct {
+	perm []int32 // perm[i] == i between samples
+}
+
+func newPeerSampler(n int) *peerSampler {
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	return &peerSampler{perm: perm}
+}
+
+// sample draws count distinct peers (at most n).
+func (s *peerSampler) sample(src *rng.Source, count int) []topology.NodeID {
+	n := len(s.perm)
 	if count > n {
 		count = n
 	}
-	swapped := make(map[int]int, count*2)
 	out := make([]topology.NodeID, count)
-	get := func(i int) int {
-		if v, ok := swapped[i]; ok {
-			return v
-		}
-		return i
-	}
 	for i := 0; i < count; i++ {
 		j := i + src.Intn(n-i)
-		vi, vj := get(i), get(j)
-		swapped[i], swapped[j] = vj, vi
-		out[i] = topology.NodeID(vj)
+		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
+		out[i] = topology.NodeID(s.perm[i])
+	}
+	// The swaps touched positions 0..count-1 and each drawn j. A j past
+	// the prefix held its own value j until first touched, and that
+	// swap moved j into the prefix for good, so every such j is in out.
+	// Resetting those positions restores the identity.
+	for i, v := range out {
+		s.perm[i], s.perm[v] = int32(i), int32(v)
 	}
 	return out
 }

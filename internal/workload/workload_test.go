@@ -2,6 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math"
 	"testing"
@@ -315,5 +318,49 @@ func TestFitZipfErrors(t *testing.T) {
 	}
 	if _, err := FitZipf([]uint64{9, 4, 2, 1}); err != nil {
 		t.Errorf("minimal valid input rejected: %v", err)
+	}
+}
+
+// holdersDigest hashes every object's holder list in catalog order:
+// a little-endian int32 count, then each holder as a little-endian
+// int32.
+func holdersDigest(c *Catalog) string {
+	h := sha256.New()
+	var b [4]byte
+	put := func(v int32) {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		h.Write(b[:])
+	}
+	for o := ObjectID(0); int(o) < c.NumObjects(); o++ {
+		hs := c.Holders(o)
+		put(int32(len(hs)))
+		for _, p := range hs {
+			put(int32(p))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCatalogHoldersPinned pins replica placement across rewrites of
+// the sampler: the digests were recorded from the original map-based
+// partial Fisher-Yates, so any change to the Intn draw sequence or to
+// which peer a draw selects fails here.
+func TestCatalogHoldersPinned(t *testing.T) {
+	small := DefaultCatalogConfig()
+	small.NumObjects = 50
+	for _, tc := range []struct {
+		name  string
+		cfg   CatalogConfig
+		peers int
+		seed  uint64
+		want  string
+	}{
+		{"default/2k", DefaultCatalogConfig(), 2000, 1, "715d9e0069d7203e4330bd8404843349715bbd4995d9dc8595617c6bc8c89dbe"},
+		{"default/100k", DefaultCatalogConfig(), 100000, 7, "d69c83b0c5c6b4fa2f0e9de1f84272c8e30e076d27753e90e6c39cda53a1fec2"},
+		{"saturated/4", small, 4, 3, "bd085b738acdd4356160e0c0a44a8a6a41a58dabb0b745c4bcd70121ace074c6"},
+	} {
+		if got := holdersDigest(testCatalog(t, tc.cfg, tc.peers, tc.seed)); got != tc.want {
+			t.Errorf("%s: holders digest = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
