@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint build vet ddlint staticcheck test race racesmoke chaos smoke writefail bench benchsmoke benchgo telemetry
+.PHONY: ci lint build vet fmtcheck ddlint staticcheck test race racesmoke chaos smoke writefail bench benchsmoke benchgo telemetry
 
 # ci is the gate: static checks, full build, full tests, then a short
 # race pass over the packages with real concurrency (the live TCP node
@@ -18,14 +18,22 @@ build:
 	$(GO) build ./...
 
 # lint is the full static-analysis gate (DESIGN.md §18): go vet, then
-# the ddlint determinism analyzers, then pinned staticcheck. Every leg
-# runs unconditionally — there is deliberately no PATH-probe-and-skip
-# path left; a static gate that cannot run must fail loudly (the
-# writefail philosophy), never report a clean tree it did not inspect.
-lint: vet ddlint staticcheck
+# the gofmt check, then the ddlint determinism analyzers, then pinned
+# staticcheck. Every leg runs unconditionally — there is deliberately
+# no PATH-probe-and-skip path left; a static gate that cannot run must
+# fail loudly (the writefail philosophy), never report a clean tree it
+# did not inspect.
+lint: vet fmtcheck ddlint staticcheck
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck fails when any Go file in the module tree is not gofmt-clean
+# (or does not parse). gofmt -l exits 0 on unformatted files, so the leg
+# also tests its output.
+GOFMT ?= gofmt
+fmtcheck:
+	@out=$$($(GOFMT) -l .) || exit 1; if [ -n "$$out" ]; then echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
 
 # ddlint runs the house determinism analyzers (ddclock, ddrand,
 # ddmaporder, ddnilgate, ddoutfile, ddallow) over the whole module.
@@ -96,8 +104,7 @@ writefail:
 
 # bench regenerates the committed perf trajectory (BENCH.json) from the
 # pinned suite in cmd/ddbench and enforces the derived gates: the
-# traversal-cache speedup (cached vs uncached 2k-peer tick loop must
-# stay >= 1.5x), the nt_flood_delivery robustness floor (control delivery >= 0.95
+# nt_flood_delivery robustness floor (control delivery >= 0.95
 # under a 3x flood with the overload plane on), the trace_overhead
 # ceiling (tick loop with a sample-rate-0 tracer <= 1.03x untraced),
 # and the tick_100k_allocs_per_peer ceiling (steady 100k-peer loop must

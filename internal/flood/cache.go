@@ -96,19 +96,12 @@ type CacheStats struct {
 	Trees     int    // trees currently cached
 }
 
-// travCache holds the version-keyed derived views: a CSR snapshot of
-// the active adjacency (online, uncut neighbors with their directed
-// edge ids — shared by every traversal, cached and live) and the
-// memoized first-visit trees.
+// travCache holds the memoized first-visit trees of the current
+// overlay version. Connectivity itself is not snapshotted: traversals
+// read edge liveness from the overlay in place (overlay.EdgeLive).
 type travCache struct {
 	version uint64
 	synced  bool
-
-	// CSR active adjacency: adjPeer/adjEdge[adjStart[v]:adjStart[v+1]]
-	// list v's reachable neighbors in static neighbor order.
-	adjStart []int32
-	adjPeer  []PeerID
-	adjEdge  []overlay.EdgeID
 
 	trees        map[treeKey]*travTree
 	seenOnce     map[treeKey]struct{}
@@ -125,8 +118,8 @@ func newTravCache() *travCache {
 	}
 }
 
-// sync revalidates the cache against the overlay, flushing every
-// derived view if connectivity changed. Called once per flood.
+// sync revalidates the cache against the overlay, flushing the trees
+// if connectivity changed. Called once per flood.
 func (c *travCache) sync(ov *overlay.Overlay) {
 	c.floodsStable++
 	if c.synced && c.version == ov.Version() {
@@ -136,7 +129,6 @@ func (c *travCache) sync(ov *overlay.Overlay) {
 	c.synced = true
 	c.floodsStable = 0
 	c.flush()
-	c.rebuildAdj(ov)
 }
 
 func (c *travCache) flush() {
@@ -146,41 +138,6 @@ func (c *travCache) flush() {
 	clear(c.trees)
 	clear(c.seenOnce)
 	c.cachedVisits = 0
-}
-
-// rebuildAdj snapshots the active adjacency in CSR form so traversals
-// read a flat slice instead of re-filtering (and binary-searching edge
-// ids from) the static graph on every hop.
-func (c *travCache) rebuildAdj(ov *overlay.Overlay) {
-	n := ov.NumPeers()
-	if cap(c.adjStart) < n+1 {
-		c.adjStart = make([]int32, n+1)
-	}
-	c.adjStart = c.adjStart[:n+1]
-	c.adjPeer = c.adjPeer[:0]
-	c.adjEdge = c.adjEdge[:0]
-	g := ov.Graph()
-	for v := 0; v < n; v++ {
-		id := PeerID(v)
-		c.adjStart[v] = int32(len(c.adjPeer))
-		if !ov.Online(id) {
-			continue
-		}
-		for k, w := range g.Neighbors(id) {
-			e := ov.EdgeID(id, k)
-			if ov.Online(w) && !ov.EdgeCut(e) {
-				c.adjPeer = append(c.adjPeer, w)
-				c.adjEdge = append(c.adjEdge, e)
-			}
-		}
-	}
-	c.adjStart[n] = int32(len(c.adjPeer))
-}
-
-// adj returns u's active neighbors and their directed edge ids.
-func (c *travCache) adj(u PeerID) ([]PeerID, []overlay.EdgeID) {
-	lo, hi := c.adjStart[u], c.adjStart[u+1]
-	return c.adjPeer[lo:hi], c.adjEdge[lo:hi]
 }
 
 // lookup returns the replayable tree for key, or nil with build=true

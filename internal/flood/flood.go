@@ -168,7 +168,6 @@ func (b *Budget) rebuildFairShare() {
 	for i := range b.edgePerTick {
 		b.edgePerTick[i] = 0
 	}
-	g := b.ov.Graph()
 	for v := 0; v < b.ov.NumPeers(); v++ {
 		id := PeerID(v)
 		deg := b.ov.ActiveDegree(id)
@@ -176,16 +175,16 @@ func (b *Budget) rebuildFairShare() {
 			continue
 		}
 		share := b.PerTick[v] / float64(deg)
-		for k, w := range g.Neighbors(id) {
+		to, base := b.ov.Adj(id)
+		for k := range to {
 			// Edge id of v->neighbor; the *incoming* share for v over
 			// that link is tracked on the reverse edge, but since the
 			// share is symmetric per endpoint we track arrival budget
 			// on the edge pointing *to* v: reverse of v's k-th edge.
-			e := b.ov.EdgeID(id, k)
-			if !b.ov.Online(w) || b.ov.EdgeCut(e) {
-				continue
+			e := base + overlay.EdgeID(k)
+			if b.ov.EdgeLive(e) {
+				b.edgePerTick[b.ov.Reverse(e)] = share
 			}
-			b.edgePerTick[b.ov.Reverse(e)] = share
 		}
 	}
 	// Arrival shares below one token accumulate across ticks (see
@@ -523,7 +522,6 @@ type Engine struct {
 	mass     []float64 // batch mode: surviving (processed) weight at peer
 	frontier []PeerID
 	next     []PeerID
-	nbuf     []PeerID
 
 	// cache is the topology-versioned traversal cache (see cache.go);
 	// nil when disabled. accBuf carries per-visit accepted mass from a
@@ -639,17 +637,6 @@ func (e *Engine) bump() {
 	}
 }
 
-// activeAdj returns u's active neighbors, plus their directed edge ids
-// when the traversal cache's CSR snapshot is available (nil eids means
-// the caller must FindEdge).
-func (e *Engine) activeAdj(u PeerID) ([]PeerID, []overlay.EdgeID) {
-	if e.cache != nil {
-		return e.cache.adj(u)
-	}
-	e.nbuf = e.ov.ActiveNeighbors(u, e.nbuf[:0])
-	return e.nbuf, nil
-}
-
 // resetRec clears and returns the engine's scratch recording tree.
 // Trees are recorded as a byproduct of the live BFS (no second
 // structural pass): the live traversal IS the structural first-visit
@@ -762,10 +749,9 @@ func (e *Engine) FloodQuery(src PeerID, ttl int, holders []topology.NodeID, budg
 	return res
 }
 
-// liveQuery is the uncached BFS; it still reads the CSR adjacency
-// snapshot when the cache is enabled (the snapshot is connectivity
-// state, not traversal memoization, so it is always sound). A non-nil
-// rec collects the first-visit tree in traversal order as it runs.
+// liveQuery is the uncached BFS over the overlay's static adjacency,
+// skipping edges that are not live. A non-nil rec collects the
+// first-visit tree in traversal order as it runs.
 func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, dm DelayModel, res *QueryResult, rec *travTree) {
 	e.bump()
 	e.seen[src] = e.epoch
@@ -777,14 +763,16 @@ func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, dm DelayModel, r
 	for depth := 1; depth <= ttl && len(e.frontier) > 0; depth++ {
 		e.next = e.next[:0]
 		for _, u := range e.frontier {
-			nbrs, eids := e.activeAdj(u)
+			nbrs, base := e.ov.Adj(u)
 			var nd travNode
 			if rec != nil {
 				nd = travNode{u: u, vStart: int32(len(rec.visits))}
 			}
 			for k, v := range nbrs {
-				if v == e.parent[u] {
-					continue // never send back where it came from
+				eid := base + overlay.EdgeID(k)
+				// Skip dead links, and never send back where it came from.
+				if !e.ov.EdgeLive(eid) || v == e.parent[u] {
+					continue
 				}
 				res.QueryMessages++
 				e.telEdges.Inc()
@@ -801,12 +789,6 @@ func (e *Engine) liveQuery(src PeerID, ttl int, budget *Budget, dm DelayModel, r
 						nd.dups++
 					}
 					continue
-				}
-				eid := overlay.EdgeID(0)
-				if eids != nil {
-					eid = eids[k]
-				} else {
-					eid, _ = e.ov.FindEdge(u, v)
 				}
 				if rec != nil {
 					rec.visits = append(rec.visits, visit{v: v, parent: u, eid: eid, depth: int32(depth)})
@@ -998,8 +980,8 @@ func (e *Engine) replayBatch(tr *travTree, src PeerID, weight float64, budget *B
 	return true
 }
 
-// liveBatch is the uncached fluid BFS (CSR-accelerated when the cache
-// is enabled). A non-nil rec collects the first-visit tree in
+// liveBatch is the uncached fluid BFS, walking the same live edges as
+// liveQuery. A non-nil rec collects the first-visit tree in
 // traversal order; the return reports whether any first visit was
 // capacity-clipped to zero, which in the physical plane prunes a
 // subtree and makes the recording non-structural.
@@ -1022,13 +1004,14 @@ func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, bu
 					continue
 				}
 			}
-			nbrs, eids := e.activeAdj(u)
+			nbrs, base := e.ov.Adj(u)
 			var nd travNode
 			if rec != nil {
 				nd = travNode{u: u, vStart: int32(len(rec.visits))}
 			}
 			for k, v := range nbrs {
-				if v == e.parent[u] {
+				eid := base + overlay.EdgeID(k)
+				if !e.ov.EdgeLive(eid) || v == e.parent[u] {
 					continue
 				}
 				if u == src && entry >= 0 && v != entry {
@@ -1046,12 +1029,6 @@ func (e *Engine) liveBatch(src PeerID, entry PeerID, ttl int, weight float64, bu
 						nd.dups++
 					}
 					continue
-				}
-				eid := overlay.EdgeID(0)
-				if eids != nil {
-					eid = eids[k]
-				} else {
-					eid, _ = e.ov.FindEdge(u, v)
 				}
 				if rec != nil {
 					rec.visits = append(rec.visits, visit{v: v, parent: u, eid: eid, depth: int32(depth)})

@@ -258,14 +258,14 @@ type nodeTelemetry struct {
 	transientErr  *telemetry.Counter // transient Neighbor_Traffic dials that died
 	transientOK   *telemetry.Counter // transient dials that returned a report
 
-	transientRejected *telemetry.Counter // dials refused by the semaphore
-	transientRetries  *telemetry.Counter // transient dial retry attempts
-	reconnectAttempts *telemetry.Counter // supervisor re-dials started
-	reconnectOK       *telemetry.Counter // neighbors re-established
-	reconnectGiveups  *telemetry.Counter // backoff chains exhausted
-	reconnectBackoff  *telemetry.Gauge   // longest scheduled backoff, ms
-	evalDeferred      *telemetry.Counter // verdicts deferred for quorum
-	evalTimeoutZero   *telemetry.Counter // verdicts that scored silent members as zero
+	transientRejected *telemetry.Counter   // dials refused by the semaphore
+	transientRetries  *telemetry.Counter   // transient dial retry attempts
+	reconnectAttempts *telemetry.Counter   // supervisor re-dials started
+	reconnectOK       *telemetry.Counter   // neighbors re-established
+	reconnectGiveups  *telemetry.Counter   // backoff chains exhausted
+	reconnectBackoff  *telemetry.Gauge     // longest scheduled backoff, ms
+	evalDeferred      *telemetry.Counter   // verdicts deferred for quorum
+	evalTimeoutZero   *telemetry.Counter   // verdicts that scored silent members as zero
 	ntLatency         *telemetry.Histogram // NT request→report round trip, ms
 
 	// Per-class shedding split of the historical send_queue_stalls

@@ -60,6 +60,9 @@ func TestOverloadBreakerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(a.Neighbors()) == 1 }, "a sees b")
+	// b floods through its own peer table, so its side of the handshake
+	// must be up too before it sends.
+	waitFor(t, 2*time.Second, func() bool { return len(b.Neighbors()) == 1 }, "b sees a")
 
 	// Two consecutive hot windows (> TripThreshold offered) trip the
 	// breaker. The breaker is created explicitly: in live traffic

@@ -8,6 +8,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 
 	"ddpolice/internal/topology"
 )
@@ -19,25 +20,36 @@ type PeerID = topology.NodeID
 // EdgeID indexes a *directed* logical edge (u -> k-th neighbor of u).
 type EdgeID int32
 
+// Per-directed-edge flag bits. Both directions of a logical edge always
+// carry the same flags.
+const (
+	// edgeCut: DD-POLICE (or a partition) severed the connection.
+	edgeCut uint8 = 1 << iota
+	// edgeLive: both ends online and the edge not cut — the one
+	// predicate every traversal filters on, kept current by SetOnline,
+	// Cut and Uncut so readers never recompute it.
+	edgeLive
+)
+
 // Overlay is the mutable overlay state. It is not safe for concurrent
 // mutation; each simulation replica owns one Overlay.
 type Overlay struct {
-	g        *topology.Graph
-	online   []bool
-	edgeBase []EdgeID // edgeBase[v] + k = directed edge id of v -> adj[v][k]
+	g      *topology.Graph
+	online []bool
+	// edgeBase and to form a flat static CSR of the logical graph:
+	// edges edgeBase[v]..edgeBase[v+1]-1 leave v, in static neighbor
+	// order, and to[e] is the head of edge e.
+	edgeBase []EdgeID
+	to       []PeerID
 	reverse  []EdgeID // reverse[e] = id of the opposite direction
-	slot     []int32  // slot[e] = k such that e is (u -> adj[u][k]); for lookups
-	cut      []bool   // per directed edge, symmetric
+	flags    []uint8  // edgeCut|edgeLive per directed edge, symmetric
 	curQ     []float64
 	prevQ    []float64
-	numEdges int
-	// Dense online index: onlineIDs lists the online peers in
-	// ascending PeerID order and onlinePos[v] is v's position in it
-	// (-1 while offline). Maintained incrementally by SetOnline so
-	// OnlineCount is O(1) and AppendOnline is O(active) — the tick
-	// hot path iterates active peers without scanning all N.
+	// onlineIDs lists the online peers in ascending PeerID order,
+	// maintained incrementally by SetOnline so OnlineCount is O(1) and
+	// AppendOnline is O(active) — the tick hot path iterates active
+	// peers without scanning all N.
 	onlineIDs []PeerID
-	onlinePos []int32
 	// version counts connectivity mutations (join/leave, cut/uncut —
 	// including partition apply/heal, which go through Cut/Uncut).
 	// Traversal caches and fair-share budgets key their validity on it;
@@ -50,31 +62,31 @@ type Overlay struct {
 func New(g *topology.Graph) *Overlay {
 	n := g.NumNodes()
 	o := &Overlay{g: g, online: make([]bool, n), edgeBase: make([]EdgeID, n+1),
-		onlineIDs: make([]PeerID, n), onlinePos: make([]int32, n)}
+		onlineIDs: make([]PeerID, n)}
 	var total EdgeID
 	for v := 0; v < n; v++ {
 		o.online[v] = true
 		o.onlineIDs[v] = PeerID(v)
-		o.onlinePos[v] = int32(v)
 		o.edgeBase[v] = total
 		total += EdgeID(g.Degree(PeerID(v)))
 	}
 	o.edgeBase[n] = total
-	o.numEdges = int(total)
+	o.to = make([]PeerID, 0, total)
+	for v := 0; v < n; v++ {
+		o.to = append(o.to, g.Neighbors(PeerID(v))...)
+	}
 	o.reverse = make([]EdgeID, total)
-	o.slot = make([]int32, total)
-	o.cut = make([]bool, total)
+	o.flags = make([]uint8, total)
 	o.curQ = make([]float64, total)
 	o.prevQ = make([]float64, total)
 	for v := 0; v < n; v++ {
-		for k, w := range g.Neighbors(PeerID(v)) {
-			e := o.edgeBase[v] + EdgeID(k)
-			o.slot[e] = int32(k)
-			re, ok := o.lookupEdge(w, PeerID(v))
+		for e := o.edgeBase[v]; e < o.edgeBase[v+1]; e++ {
+			re, ok := o.lookupEdge(o.to[e], PeerID(v))
 			if !ok {
 				panic("overlay: asymmetric adjacency")
 			}
 			o.reverse[e] = re
+			o.flags[e] = edgeLive
 		}
 	}
 	return o
@@ -83,20 +95,18 @@ func New(g *topology.Graph) *Overlay {
 // lookupEdge finds the directed edge u->w by scanning u's (sorted)
 // neighbor list with binary search.
 func (o *Overlay) lookupEdge(u, w PeerID) (EdgeID, bool) {
-	ns := o.g.Neighbors(u)
-	lo, hi := 0, len(ns)
+	// Hand-rolled: slices.BinarySearch is not inlined, and this sits
+	// under the police path's LastMinute and Connected.
+	lo, hi := o.edgeBase[u], o.edgeBase[u+1]
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if ns[mid] < w {
+		mid := lo + (hi-lo)/2
+		if o.to[mid] < w {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(ns) && ns[lo] == w {
-		return o.edgeBase[u] + EdgeID(lo), true
-	}
-	return 0, false
+	return lo, lo < o.edgeBase[u+1] && o.to[lo] == w
 }
 
 // Graph returns the static logical topology.
@@ -106,7 +116,7 @@ func (o *Overlay) Graph() *topology.Graph { return o.g }
 func (o *Overlay) NumPeers() int { return o.g.NumNodes() }
 
 // NumDirectedEdges returns the number of directed logical edges.
-func (o *Overlay) NumDirectedEdges() int { return o.numEdges }
+func (o *Overlay) NumDirectedEdges() int { return len(o.to) }
 
 // Version returns the connectivity mutation counter. It increments on
 // every state-changing SetOnline, Cut and Uncut, so any derived view of
@@ -140,37 +150,19 @@ func (o *Overlay) SetOnline(v PeerID, on bool) {
 	}
 	o.online[v] = on
 	o.version++
+	pos, _ := slices.BinarySearch(o.onlineIDs, v)
 	if on {
-		// Insert v into the sorted dense list.
-		lo, hi := 0, len(o.onlineIDs)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if o.onlineIDs[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		o.onlineIDs = append(o.onlineIDs, 0)
-		copy(o.onlineIDs[lo+1:], o.onlineIDs[lo:])
-		o.onlineIDs[lo] = v
-		for i := lo; i < len(o.onlineIDs); i++ {
-			o.onlinePos[o.onlineIDs[i]] = int32(i)
-		}
+		o.onlineIDs = slices.Insert(o.onlineIDs, pos, v)
 	} else {
-		pos := int(o.onlinePos[v])
-		copy(o.onlineIDs[pos:], o.onlineIDs[pos+1:])
-		o.onlineIDs = o.onlineIDs[:len(o.onlineIDs)-1]
-		o.onlinePos[v] = -1
-		for i := pos; i < len(o.onlineIDs); i++ {
-			o.onlinePos[o.onlineIDs[i]] = int32(i)
-		}
+		o.onlineIDs = slices.Delete(o.onlineIDs, pos, pos+1)
 	}
-	for k := range o.g.Neighbors(v) {
-		e := o.edgeBase[v] + EdgeID(k)
+	for e := o.edgeBase[v]; e < o.edgeBase[v+1]; e++ {
 		re := o.reverse[e]
-		o.cut[e] = false
-		o.cut[re] = false
+		f := uint8(0)
+		if on && o.online[o.to[e]] {
+			f = edgeLive
+		}
+		o.flags[e], o.flags[re] = f, f
 		o.curQ[e], o.prevQ[e] = 0, 0
 		o.curQ[re], o.prevQ[re] = 0, 0
 	}
@@ -194,9 +186,20 @@ func (o *Overlay) Endpoints(e EdgeID) (from, to PeerID) {
 			hi = mid
 		}
 	}
-	from = PeerID(lo)
-	return from, o.g.Neighbors(from)[o.slot[e]]
+	return PeerID(lo), o.to[e]
 }
+
+// Adj returns v's static neighbors in order together with the id of
+// the edge to the first of them: the edge to to[k] is base+k. Callers
+// must not mutate to; they filter it with EdgeLive.
+func (o *Overlay) Adj(v PeerID) (to []PeerID, base EdgeID) {
+	base = o.edgeBase[v]
+	return o.to[base:o.edgeBase[v+1]], base
+}
+
+// EdgeLive reports whether directed edge e is currently usable: both
+// ends online and the edge not cut.
+func (o *Overlay) EdgeLive(e EdgeID) bool { return o.flags[e]&edgeLive != 0 }
 
 // FindEdge returns the directed edge id u->w, if {u,w} is a logical edge.
 func (o *Overlay) FindEdge(u, w PeerID) (EdgeID, bool) { return o.lookupEdge(u, w) }
@@ -204,22 +207,16 @@ func (o *Overlay) FindEdge(u, w PeerID) (EdgeID, bool) { return o.lookupEdge(u, 
 // Connected reports whether the logical edge {u,w} exists, both ends
 // are online, and the edge has not been cut.
 func (o *Overlay) Connected(u, w PeerID) bool {
-	if !o.online[u] || !o.online[w] {
-		return false
-	}
 	e, ok := o.lookupEdge(u, w)
-	return ok && !o.cut[e]
+	return ok && o.EdgeLive(e)
 }
 
 // ActiveNeighbors appends to buf the currently reachable neighbors of v
 // (online, edge not cut) and returns the extended slice. buf may be nil.
 func (o *Overlay) ActiveNeighbors(v PeerID, buf []PeerID) []PeerID {
-	if !o.online[v] {
-		return buf
-	}
-	base := o.edgeBase[v]
-	for k, w := range o.g.Neighbors(v) {
-		if o.online[w] && !o.cut[base+EdgeID(k)] {
+	to, base := o.Adj(v)
+	for k, w := range to {
+		if o.EdgeLive(base + EdgeID(k)) {
 			buf = append(buf, w)
 		}
 	}
@@ -228,13 +225,9 @@ func (o *Overlay) ActiveNeighbors(v PeerID, buf []PeerID) []PeerID {
 
 // ActiveDegree returns the number of active neighbors of v.
 func (o *Overlay) ActiveDegree(v PeerID) int {
-	if !o.online[v] {
-		return 0
-	}
-	base := o.edgeBase[v]
 	d := 0
-	for k, w := range o.g.Neighbors(v) {
-		if o.online[w] && !o.cut[base+EdgeID(k)] {
+	for e := o.edgeBase[v]; e < o.edgeBase[v+1]; e++ {
+		if o.EdgeLive(e) {
 			d++
 		}
 	}
@@ -248,11 +241,11 @@ func (o *Overlay) Cut(u, w PeerID) error {
 	if !ok {
 		return fmt.Errorf("overlay: cut of non-edge (%d,%d)", u, w)
 	}
-	if !o.cut[e] {
+	if !o.EdgeCut(e) {
 		o.version++
 	}
-	o.cut[e] = true
-	o.cut[o.reverse[e]] = true
+	o.flags[e] = edgeCut
+	o.flags[o.reverse[e]] = edgeCut
 	return nil
 }
 
@@ -265,28 +258,33 @@ func (o *Overlay) Uncut(u, w PeerID) {
 	if !ok {
 		return
 	}
-	if o.cut[e] {
-		o.version++
+	if !o.EdgeCut(e) {
+		return
 	}
-	o.cut[e] = false
-	o.cut[o.reverse[e]] = false
+	o.version++
+	f := uint8(0)
+	if o.online[u] && o.online[w] {
+		f = edgeLive
+	}
+	o.flags[e] = f
+	o.flags[o.reverse[e]] = f
 }
 
 // EdgeCut reports whether directed edge e has been severed. It is the
 // O(1) form of IsCut for callers that already hold an edge id.
-func (o *Overlay) EdgeCut(e EdgeID) bool { return o.cut[e] }
+func (o *Overlay) EdgeCut(e EdgeID) bool { return o.flags[e]&edgeCut != 0 }
 
 // IsCut reports whether the logical edge {u,w} has been severed.
 func (o *Overlay) IsCut(u, w PeerID) bool {
 	e, ok := o.lookupEdge(u, w)
-	return ok && o.cut[e]
+	return ok && o.EdgeCut(e)
 }
 
 // CutCount returns the number of undirected edges currently cut.
 func (o *Overlay) CutCount() int {
 	c := 0
-	for _, b := range o.cut {
-		if b {
+	for _, f := range o.flags {
+		if f&edgeCut != 0 {
 			c++
 		}
 	}

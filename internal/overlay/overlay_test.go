@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 
 	"ddpolice/internal/rng"
@@ -384,5 +385,174 @@ func TestEdgeCutMatchesIsCut(t *testing.T) {
 	}
 	if f, _ := o.FindEdge(3, 4); o.EdgeCut(f) {
 		t.Fatal("EdgeCut true for intact edge")
+	}
+}
+
+// TestEdgeLivenessMatchesModel drives a seeded random sequence of
+// joins, leaves, cuts and heals on a 500-peer BA overlay — including
+// re-cutting severed edges, rejoining a peer whose edges were cut while
+// it was offline, and healing an edge with one end offline — and after
+// every operation checks the overlay's per-edge liveness, active
+// adjacency and online index against an independent model of who is
+// online and which edges are cut.
+func TestEdgeLivenessMatchesModel(t *testing.T) {
+	const n = 500
+	g, err := topology.BarabasiAlbert(rng.New(501), n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := New(g)
+	type pair struct{ a, b PeerID }
+	key := func(u, w PeerID) pair {
+		if u > w {
+			u, w = w, u
+		}
+		return pair{u, w}
+	}
+	online := make([]bool, n)
+	for v := range online {
+		online[v] = true
+	}
+	cut := map[pair]bool{}
+	setOnline := func(v PeerID, on bool) {
+		if online[v] != on {
+			for _, w := range g.Neighbors(v) {
+				delete(cut, key(v, w))
+			}
+		}
+		online[v] = on
+		o.SetOnline(v, on)
+	}
+	cutEdge := func(u, w PeerID) {
+		if err := o.Cut(u, w); err != nil {
+			t.Fatal(err)
+		}
+		cut[key(u, w)] = true
+	}
+	uncutEdge := func(u, w PeerID) {
+		delete(cut, key(u, w))
+		o.Uncut(u, w)
+	}
+	// cutList returns one severed edge of the model, or ok=false; it
+	// scans in peer order so the pick is deterministic.
+	cutList := func(src *rng.Source) (u, w PeerID, ok bool) {
+		var all []pair
+		for v := 0; v < n; v++ {
+			for _, x := range g.Neighbors(PeerID(v)) {
+				if PeerID(v) < x && cut[key(PeerID(v), x)] {
+					all = append(all, pair{PeerID(v), x})
+				}
+			}
+		}
+		if len(all) == 0 {
+			return 0, 0, false
+		}
+		p := all[src.Intn(len(all))]
+		return p.a, p.b, true
+	}
+	check := func(step int, op string) {
+		t.Helper()
+		var wantOnline []PeerID
+		for v := 0; v < n; v++ {
+			id := PeerID(v)
+			if o.Online(id) != online[v] {
+				t.Fatalf("step %d (%s): Online(%d) = %v, want %v", step, op, v, o.Online(id), online[v])
+			}
+			if online[v] {
+				wantOnline = append(wantOnline, id)
+			}
+			to, base := o.Adj(id)
+			if len(to) != g.Degree(id) || base != o.EdgeID(id, 0) {
+				t.Fatalf("step %d (%s): Adj(%d) = %d heads at %d", step, op, v, len(to), base)
+			}
+			var want []PeerID
+			for k, w := range g.Neighbors(id) {
+				e := o.EdgeID(id, k)
+				if to[k] != w {
+					t.Fatalf("step %d (%s): Adj(%d)[%d] = %d, want %d", step, op, v, k, to[k], w)
+				}
+				if from, head := o.Endpoints(e); from != id || head != w {
+					t.Fatalf("step %d (%s): Endpoints(%d) = (%d,%d), want (%d,%d)", step, op, e, from, head, id, w)
+				}
+				isCut := cut[key(id, w)]
+				if o.EdgeCut(e) != isCut {
+					t.Fatalf("step %d (%s): EdgeCut(%d->%d) = %v, want %v", step, op, v, w, o.EdgeCut(e), isCut)
+				}
+				live := online[v] && online[w] && !isCut
+				if o.EdgeLive(e) != live {
+					t.Fatalf("step %d (%s): EdgeLive(%d->%d) = %v, want %v", step, op, v, w, o.EdgeLive(e), live)
+				}
+				if o.Connected(id, w) != live {
+					t.Fatalf("step %d (%s): Connected(%d,%d) = %v, want %v", step, op, v, w, o.Connected(id, w), live)
+				}
+				if live {
+					want = append(want, w)
+				}
+			}
+			got := o.ActiveNeighbors(id, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d (%s): ActiveNeighbors(%d) = %v, want %v", step, op, v, got, want)
+			}
+			if d := o.ActiveDegree(id); d != len(want) {
+				t.Fatalf("step %d (%s): ActiveDegree(%d) = %d, want %d", step, op, v, d, len(want))
+			}
+		}
+		if got := o.AppendOnline(nil); !slices.Equal(got, wantOnline) || o.OnlineCount() != len(wantOnline) {
+			t.Fatalf("step %d (%s): online index (%d peers, count %d) differs from the %d online peers", step, op, len(got), o.OnlineCount(), len(wantOnline))
+		}
+		if o.CutCount() != len(cut) {
+			t.Fatalf("step %d (%s): CutCount = %d, want %d", step, op, o.CutCount(), len(cut))
+		}
+	}
+	randomEdge := func(src *rng.Source, v PeerID) PeerID {
+		ns := g.Neighbors(v)
+		return ns[src.Intn(len(ns))]
+	}
+
+	src := rng.New(502)
+	check(-1, "new")
+	for step := 0; step < 1500; step++ {
+		v := PeerID(src.Intn(n))
+		switch op := src.Intn(8); op {
+		case 0:
+			setOnline(v, true)
+			check(step, "join")
+		case 1:
+			setOnline(v, false)
+			check(step, "leave")
+		case 2:
+			cutEdge(v, randomEdge(src, v))
+			check(step, "cut")
+		case 3:
+			if u, w, ok := cutList(src); ok {
+				cutEdge(w, u) // already severed: a no-op
+				check(step, "re-cut")
+			}
+		case 4:
+			uncutEdge(v, randomEdge(src, v))
+			check(step, "uncut")
+		case 5:
+			if u, w, ok := cutList(src); ok {
+				uncutEdge(u, w)
+				check(step, "heal")
+			}
+		case 6:
+			// Cut an edge of an offline peer, then rejoin it.
+			setOnline(v, false)
+			check(step, "leave before cut")
+			cutEdge(v, randomEdge(src, v))
+			check(step, "cut while offline")
+			setOnline(v, true)
+			check(step, "rejoin with cut edge")
+		case 7:
+			// Sever an edge whose far end is offline, then heal it
+			// while that end is still offline.
+			w := randomEdge(src, v)
+			setOnline(w, false)
+			cutEdge(v, w)
+			check(step, "cut with one end offline")
+			uncutEdge(w, v)
+			check(step, "heal with one end offline")
+		}
 	}
 }

@@ -22,9 +22,9 @@ import (
 	"fmt"
 
 	"ddpolice/internal/journal"
-	"ddpolice/internal/trace"
 	"ddpolice/internal/overlay"
 	"ddpolice/internal/rng"
+	"ddpolice/internal/trace"
 )
 
 // PeerID aliases the overlay peer identifier.

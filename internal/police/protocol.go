@@ -140,7 +140,7 @@ func (p *Police) NotifyJoin(v PeerID, now float64) {
 	if p.dense {
 		if p.ov.Online(v) {
 			for k, w := range p.ov.Graph().Neighbors(v) {
-				if e := p.ov.EdgeID(v, k); p.ov.Online(w) && !p.ov.EdgeCut(e) {
+				if e := p.ov.EdgeID(v, k); p.ov.EdgeLive(e) {
 					p.sendList(w, v, e, now)
 				}
 			}
@@ -186,7 +186,7 @@ func (p *Police) exchangeFrom(v PeerID, now float64) {
 			return
 		}
 		for k, w := range p.ov.Graph().Neighbors(v) {
-			if e := p.ov.EdgeID(v, k); p.ov.Online(w) && !p.ov.EdgeCut(e) {
+			if e := p.ov.EdgeID(v, k); p.ov.EdgeLive(e) {
 				p.sendList(v, w, p.ov.Reverse(e), now)
 			}
 		}

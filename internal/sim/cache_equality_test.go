@@ -155,4 +155,3 @@ func TestSteadyRunEngagesCache(t *testing.T) {
 		t.Fatalf("traversal cache never engaged: hits=%d builds=%d", hits, builds)
 	}
 }
-
